@@ -9,15 +9,14 @@ Usage examples::
     python -m repro.cli generate ncf --dep 6 --var 4 --cls 12 --lpc 5 -o x.qtree
     python -m repro.cli stats instance.qtree
     python -m repro.cli evalx run ncf --jobs 4 --results ncf.jsonl
-    python -m repro.cli bench --quick -o BENCH_kernels.json
+    python -m repro.cli bench kernels --quick
     python -m repro.cli certify emit instance.qtree -o proof.jsonl
     python -m repro.cli certify check instance.qtree proof.jsonl
     python -m repro.cli certify stats proof.jsonl
     python -m repro.cli cube run instance.qtree --jobs 4 --certify
-    python -m repro.cli cube bench --quick -o BENCH_cube.json
     python -m repro.cli solve instance.qtree --paradigm qdll
     python -m repro.cli portfolio run instance.qtree --jobs 2
-    python -m repro.cli portfolio bench --quick -o BENCH_portfolio.json
+    python -m repro.cli bench portfolio --quick --jobs 1
 
 ``cube run`` solves ONE instance cube-and-conquer style: the splitter cuts
 the quantifier tree's branchable frontier into cubes, ``--jobs N`` worker
@@ -43,9 +42,12 @@ when it verifies), ``stats`` summarizes a certificate file.
 ``solve --paradigm`` picks the solving algorithm behind the shared Solver
 protocol: ``search`` (the QDPLL engine, default) or ``qdll`` (the
 recursive Figure-1 reference). ``portfolio run`` races PO-search against
-TO-search on one instance and keeps the first determinate verdict;
-``portfolio bench`` measures the portfolio against the best single lane
-on the Figure-6 series and emits ``BENCH_portfolio.json``.
+TO-search on one instance and keeps the first determinate verdict.
+
+``bench {kernels,cube,portfolio,incremental}`` runs one pinned benchmark
+suite (default ``kernels``) and writes a ``repro-bench/3`` report to
+``BENCH_<suite>.json``; it exits 1 when any of the suite's gates fails,
+with the report still written (see :mod:`repro.bench`).
 
 Formats are picked by extension: ``.qdimacs``/``.cnf`` (prenex) or
 ``.qtree`` (tree prefixes). ``-`` reads from stdin in QTREE format.
@@ -77,12 +79,21 @@ EXIT_UNKNOWN = 2
 EXIT_INTERRUPTED = 3
 
 
+class InputError(Exception):
+    """An instance file that is missing, unreadable or malformed."""
+
+
 def _read(path: str) -> QBF:
-    if path == "-":
-        return qtree.loads(sys.stdin.read())
-    if path.endswith((".qdimacs", ".cnf", ".dimacs")):
-        return qdimacs.load(path)
-    return qtree.load(path)
+    try:
+        if path == "-":
+            return qtree.loads(sys.stdin.read())
+        if path.endswith((".qdimacs", ".cnf", ".dimacs")):
+            return qdimacs.load(path)
+        return qtree.load(path)
+    except OSError as exc:
+        raise InputError("%s: %s" % (path, exc.strerror or exc)) from exc
+    except (qdimacs.QdimacsError, qtree.QtreeError) as exc:
+        raise InputError("%s: %s" % (path, exc)) from exc
 
 
 def _write(formula: QBF, path: Optional[str]) -> None:
@@ -330,20 +341,26 @@ def cmd_evalx_run(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    """Run the kernel benchmark harness; emit BENCH_kernels.json."""
-    from repro.bench import EngineDivergence, render_report, run_bench, write_report
+    """Run one bench suite; write BENCH_<suite>.json; exit 1 on a failed gate."""
+    from repro.bench import render_report, run_suite, write_report
 
-    try:
-        report = run_bench(quick=args.quick, profile=args.profile)
-    except EngineDivergence as exc:
-        # persist the divergent report for triage, then fail loudly
-        write_report(exc.report, args.output)
-        print(render_report(exc.report))
-        print("FAILED: %s (report in %s)" % (exc, args.output), file=sys.stderr)
-        return 1
-    write_report(report, args.output)
+    options = {}
+    for flag, owner in (("profile", "kernels"), ("jobs", "portfolio")):
+        value = getattr(args, flag)
+        if value is None:
+            continue
+        if args.suite != owner:
+            args.error("--%s applies to the %s suite only" % (flag, owner))
+        options[flag] = value
+    report = run_suite(args.suite, quick=args.quick, **options)
+    output = args.output or "BENCH_%s.json" % args.suite
+    write_report(report, output)
     print(render_report(report))
-    print("report written to %s" % args.output)
+    print("report written to %s" % output)
+    failed = [g["name"] for g in report["gates"] if not g["ok"]]
+    if failed:
+        print("FAILED: %s" % ", ".join(failed), file=sys.stderr)
+        return 1
     return 0
 
 
@@ -410,28 +427,6 @@ def cmd_cube_run(args: argparse.Namespace) -> int:
     return EXIT_TRUE if report.outcome is Outcome.TRUE else EXIT_FALSE
 
 
-def cmd_cube_bench(args: argparse.Namespace) -> int:
-    """Cube-and-conquer speedup benchmark; emits BENCH_cube.json."""
-    from repro.cube.bench import (
-        CubeDivergence,
-        render_report,
-        run_cube_bench,
-        write_report,
-    )
-
-    try:
-        report = run_cube_bench(quick=args.quick, seed=args.seed)
-    except CubeDivergence as exc:
-        write_report(exc.report, args.output)
-        print(render_report(exc.report))
-        print("FAILED: %s (report in %s)" % (exc, args.output), file=sys.stderr)
-        return 1
-    write_report(report, args.output)
-    print(render_report(report))
-    print("report written to %s" % args.output)
-    return 0
-
-
 def cmd_portfolio_run(args: argparse.Namespace) -> int:
     """Race the PO/TO portfolio on one instance; first verdict wins."""
     import json
@@ -487,17 +482,6 @@ def cmd_portfolio_run(args: argparse.Namespace) -> int:
     if result.outcome is Outcome.UNKNOWN:
         return EXIT_UNKNOWN
     return EXIT_TRUE if result.outcome is Outcome.TRUE else EXIT_FALSE
-
-
-def cmd_portfolio_bench(args: argparse.Namespace) -> int:
-    """Portfolio-vs-best-single benchmark; emits BENCH_portfolio.json."""
-    from repro.portfolio.bench import render_report, run_portfolio_bench, write_report
-
-    report = run_portfolio_bench(quick=args.quick, jobs=args.jobs)
-    write_report(report, args.output)
-    print(render_report(report))
-    print("report written to %s" % args.output)
-    return 0 if report["all_within_bound"] else 1
 
 
 def cmd_certify_emit(args: argparse.Namespace) -> int:
@@ -637,17 +621,6 @@ def cmd_serve_request(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_serve_bench(args: argparse.Namespace) -> int:
-    """Incremental-vs-scratch sweeps + daemon throughput; BENCH_serve.json."""
-    from repro.serve.bench import render_report, run_serve_bench, write_report
-
-    report = run_serve_bench(quick=args.quick)
-    write_report(report, args.output)
-    print(render_report(report))
-    print("report written to %s" % args.output)
-    return 0 if report["incremental_strictly_fewer"] else 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="repro", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -709,25 +682,38 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser(
         "bench",
-        help="kernel benchmark: pinned fig6 series, every available engine "
-        "(counters/native), decision-identity check, "
-        "schema-versioned JSON report",
+        help="run one pinned benchmark suite and write its repro-bench/3 "
+        "report; exit 1 if any of the suite's gates fails",
+    )
+    p_bench.add_argument(
+        "suite", nargs="?", default="kernels",
+        choices=("kernels", "cube", "portfolio", "incremental"),
+        help="kernels: fig6 counter series per engine, decision identity; "
+        "cube: parallel vs sequential cube-and-conquer, verdict agreement; "
+        "portfolio: PO/TO race vs best single lane, wall-clock bound; "
+        "incremental: incremental vs scratch diameter sweeps "
+        "(default: %(default)s)",
     )
     p_bench.add_argument(
         "--quick", action="store_true",
-        help="CI smoke series (one model size, short budget); skips the "
-        "baseline comparison, keeps the cross-engine identity check",
+        help="CI smoke series: small instances, short budgets, same gates "
+        "(kernels skips the pinned pre-kernel decision totals)",
     )
     p_bench.add_argument(
-        "--profile", action="store_true",
-        help="wrap each configuration in cProfile and embed the top "
-        "functions by cumulative time in the report",
+        "-o", "--output", default=None, metavar="OUT.JSON",
+        help="report path (default: BENCH_<suite>.json)",
     )
     p_bench.add_argument(
-        "-o", "--output", default="BENCH_kernels.json", metavar="OUT.JSON",
-        help="report path (default: %(default)s)",
+        "--profile", action="store_true", default=None,
+        help="kernels only: wrap each configuration in cProfile and embed "
+        "the top functions by cumulative time in the report",
     )
-    p_bench.set_defaults(func=cmd_bench)
+    p_bench.add_argument(
+        "--jobs", type=int, default=None,
+        help="portfolio only: concurrent race lanes, clamped to the "
+        "machine's cores; 1 = deterministic serial mode (default 2)",
+    )
+    p_bench.set_defaults(func=cmd_bench, error=p_bench.error)
 
     p_serve = sub.add_parser(
         "serve", help="persistent solver daemon over a local socket"
@@ -794,20 +780,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sreq.add_argument("request", help="path to a JSON request file, or '-'")
     p_sreq.add_argument("--timeout", type=float, default=300.0)
     p_sreq.set_defaults(func=cmd_serve_request)
-    p_sbench = serve_sub.add_parser(
-        "bench",
-        help="incremental-vs-scratch SMV sweeps + daemon throughput; "
-        "emits BENCH_serve.json",
-    )
-    p_sbench.add_argument("--quick", action="store_true",
-                          help="bench the small model set only")
-    p_sbench.add_argument("-o", "--output", default="BENCH_serve.json")
-    p_sbench.set_defaults(func=cmd_serve_bench)
 
     p_cube = sub.add_parser(
         "cube",
-        help="cube-and-conquer: parallel search inside one instance "
-        "(run, bench)",
+        help="cube-and-conquer: parallel search inside one instance",
     )
     cube_sub = p_cube.add_subparsers(dest="cube_command", required=True)
     p_crun = cube_sub.add_parser(
@@ -863,21 +839,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_crun.add_argument("--wall-timeout", type=float, default=None,
                         help="overall wall-clock cap in seconds")
     p_crun.set_defaults(func=cmd_cube_run)
-    p_cbench = cube_sub.add_parser(
-        "bench",
-        help="speedup vs the sequential baseline on the Figure-6 series; "
-        "emits BENCH_cube.json, exits nonzero on any verdict disagreement",
-    )
-    p_cbench.add_argument("--quick", action="store_true",
-                          help="CI smoke series (small instances, jobs 1-2)")
-    p_cbench.add_argument("--seed", type=int, default=0)
-    p_cbench.add_argument("-o", "--output", default="BENCH_cube.json")
-    p_cbench.set_defaults(func=cmd_cube_bench)
 
     p_port = sub.add_parser(
         "portfolio",
-        help="paradigm portfolio: race PO-search/TO-search on one "
-        "instance (run, bench)",
+        help="paradigm portfolio: race PO-search/TO-search on one instance",
     )
     port_sub = p_port.add_subparsers(dest="portfolio_command", required=True)
     p_prun = port_sub.add_parser(
@@ -918,17 +883,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_prun.add_argument("--json", action="store_true",
                         help="emit the full race record as JSON")
     p_prun.set_defaults(func=cmd_portfolio_run)
-    p_pbench = port_sub.add_parser(
-        "bench",
-        help="portfolio vs best single paradigm on the fig6 series; emits "
-        "BENCH_portfolio.json, exits nonzero if the portfolio exceeds the "
-        "wall-clock bound",
-    )
-    p_pbench.add_argument("--quick", action="store_true",
-                          help="CI smoke series (one family, short budget)")
-    p_pbench.add_argument("--jobs", type=int, default=2)
-    p_pbench.add_argument("-o", "--output", default="BENCH_portfolio.json")
-    p_pbench.set_defaults(func=cmd_portfolio_bench)
 
     p_cert = sub.add_parser(
         "certify", help="clause/term resolution certificates (emit, check, stats)"
@@ -1041,7 +995,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except InputError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

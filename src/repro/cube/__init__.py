@@ -16,8 +16,10 @@ that observation into a parallel solver:
   them into one certificate the independent checker accepts against the
   original formula;
 * :mod:`repro.cube.coordinator` — the process pool, dynamic re-splitting
-  by checkpoint, early cancellation, and :func:`run_cube`;
-* :mod:`repro.cube.bench` — the speedup benchmark (``repro cube bench``).
+  by checkpoint, early cancellation, and :func:`run_cube`.
+
+The speedup benchmark is the ``cube`` suite of :mod:`repro.bench`
+(``repro bench cube``).
 """
 
 from repro.cube.coordinator import (

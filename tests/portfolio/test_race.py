@@ -10,7 +10,6 @@ from repro.core.result import Outcome
 from repro.evalx.runner import Budget
 from repro.generators.random_qbf import random_qbf
 from repro.portfolio import DEFAULT_ENTRANTS, ENTRANTS, race
-from repro.portfolio.bench import run_portfolio_bench
 from repro.robustness.faults import FaultPlan
 
 
@@ -101,20 +100,3 @@ def test_pool_race_cancels_siblings():
     assert result.outcome in (Outcome.TRUE, Outcome.FALSE)
     assert result.winner in ENTRANTS
 
-
-def test_quick_bench_report_shape():
-    report = run_portfolio_bench(quick=True, jobs=1)
-    assert report["schema"] == "repro-portfolio-bench/1"
-    assert report["mode"] == "quick"
-    assert report["families"]
-    fam = report["families"][0]
-    for key in (
-        "winners",
-        "single_wall_seconds",
-        "portfolio_wall_seconds",
-        "best_single",
-        "portfolio_vs_best_single",
-        "within_bound",
-    ):
-        assert key in fam
-    assert set(fam["single_wall_seconds"]) == set(report["entrants"])

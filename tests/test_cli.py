@@ -135,3 +135,37 @@ class TestCertify:
         out = capsys.readouterr().out
         assert "certificates:" in out
         assert "0 invalid" in out
+
+
+class TestInputErrors:
+    """Unreadable or malformed instances: one error line, exit 1."""
+
+    BAD_INPUTS = {
+        "missing.qtree": None,
+        "garbage.qtree": "garbage ((( here\n",
+        "bad-header.qdimacs": "p cnf x 1\n1 0\n",
+    }
+
+    @pytest.mark.parametrize("name", sorted(BAD_INPUTS))
+    @pytest.mark.parametrize("argv", [
+        ["solve"],
+        ["prenex"],
+        ["miniscope"],
+        ["stats"],
+        ["certify", "emit", "{input}", "-o", "{tmp}/proof.jsonl"],
+        ["certify", "check", "{input}", "{tmp}/proof.jsonl"],
+        ["cube", "run", "{input}", "--jobs", "1"],
+        ["portfolio", "run", "{input}", "--jobs", "1"],
+    ])
+    def test_clean_error_not_traceback(self, argv, name, tmp_path, capsys):
+        path = str(tmp_path / name)
+        if self.BAD_INPUTS[name] is not None:
+            with open(path, "w") as fh:
+                fh.write(self.BAD_INPUTS[name])
+        if "{input}" not in argv:
+            argv = argv + ["{input}"]
+        argv = [a.format(input=path, tmp=tmp_path) for a in argv]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: %s: " % path), err
+        assert "Traceback" not in err
