@@ -3,19 +3,23 @@
  * One NativeCore object holds the matrix-derived state of a single solving
  * session in flat C arrays: a literal-indexed value array (the mirror of
  * Trail.lit_val), per-record satisfaction counters, occurrence lists as
- * growable int vectors, the occ_unsat / cube_count pure-literal sidecar and
- * the propagation trail itself.  The Python wrapper
- * (repro.core.engine.native.NativeBackend) forwards every assign/backtrack
- * and replays the kernel's push log onto the Python Trail after each
- * propagate() call, so the Python-visible search state stays identical.
+ * growable int vectors, the occ_unsat / cube_count pure-literal sidecar,
+ * the propagation trail itself and per-variable mirrors of Trail.pos,
+ * Trail.level and the reason record ids.  The Python wrapper
+ * (repro.core.engine.native.NativeBackend) forwards every assign, and the
+ * kernel replays its pushes onto the Python Trail's lists after each
+ * propagate() call and unwinds them on backtrack, so the Python-visible
+ * search state stays identical.
  *
  * THE CONTRACT: this file is a line-for-line port of the eager
  * counter-backend semantics (repro/core/engine/counters.py and the shared
- * _examine / apply_pure_literals in backend.py).  It must produce the same
- * events on the same records in the same order — decision-for-decision
- * identity with the counters reference is enforced by the cross-engine
- * property tests and the `repro bench` identity gate.  Any behavioural
- * change here must be mirrored in the pure-Python backends and vice versa.
+ * _examine / apply_pure_literals in backend.py) and of the untraced
+ * analyses in repro/core/learning.py.  It must produce the same events on
+ * the same records in the same order, and learn the same constraints —
+ * decision-for-decision identity with the counters reference is enforced
+ * by the cross-engine property tests and the `repro bench` identity gate.
+ * Any behavioural change here must be mirrored in the pure-Python layers
+ * and vice versa.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -25,7 +29,7 @@
 
 /* version stamp surfaced as repro._native.KERNEL_VERSION; bump on any
  * change to the kernel semantics or the wrapper-facing API. */
-#define KERNEL_VERSION 2
+#define KERNEL_VERSION 3
 
 /* propagate() event codes (wrapper maps them to the backend protocol) */
 #define EV_NONE 0
@@ -36,6 +40,14 @@
 /* push-log reason tags */
 #define TAG_REC 0
 #define TAG_PURE 1
+
+/* backjump() results and analyze() outcome kinds */
+#define BJ_NONE 0     /* resolve further */
+#define BJ_TERMINAL 1 /* proves the whole QBF */
+#define BJ_BACKJUMP 2 /* asserting at an earlier level */
+#define AN_TERMINAL 0
+#define AN_FALLBACK 1
+#define AN_BACKJUMP 2
 
 /* ---------------------------------------------------------------- vectors */
 
@@ -110,9 +122,15 @@ typedef struct {
     int *cube_count;
     int n_unsat_orig;
 
-    /* the native trail mirror + per-variable trail positions */
+    /* the native trail mirror + per-variable trail positions, decision
+     * levels and reason record ids (-1: decision or pure literal).  Like
+     * Trail.level/Trail.pos, levels and positions are left stale on
+     * backtrack; reasons are cleared, as Trail.unassign does. */
     IntVec trail;
     int *pos;
+    int *dlevel;
+    int *reason_rid;
+    int cur_level; /* decision level of the assignments being made */
     long long max_trail;
 
     /* pure-literal candidate flags (per variable) + iteration scratch */
@@ -130,6 +148,18 @@ typedef struct {
 
     /* push log of one propagate() call: (lit, tag, rec_id) triples */
     IntVec push_log;
+
+    /* analyze() scratch: working constraint, resolvent, banned pivots,
+     * touched variables and the per-variable literal map of resolve_ints */
+    IntVec an_work;
+    IntVec an_tmp;
+    IntVec an_banned;
+    IntVec an_touched;
+    int *an_mark;
+
+    /* shared int objects of the literals in returned tuples, literal-indexed
+     * (owned references, made on first use) */
+    PyObject **lit_obj;
 
     /* per-propagate stat deltas */
     long long d_propagations;
@@ -172,14 +202,17 @@ on_clause_unsat(NativeCore *c, RecC *rec)
  * set lit_val, append to the native trail, walk all four occurrence lists
  * updating the eager counters.  Returns -1 on allocation failure only. */
 static int
-core_assign(NativeCore *c, int lit)
+core_assign(NativeCore *c, int lit, int rid)
 {
     Py_ssize_t i;
     IntVec *occ;
+    int v = lit > 0 ? lit : -lit;
 
     c->lit_val[c->base + lit] = 1;
     c->lit_val[c->base - lit] = -1;
-    c->pos[lit > 0 ? lit : -lit] = (int)c->trail.len;
+    c->pos[v] = (int)c->trail.len;
+    c->dlevel[v] = c->cur_level;
+    c->reason_rid[v] = rid;
     if (vec_push(&c->trail, lit) < 0)
         return -1;
     if (c->trail.len > c->max_trail)
@@ -269,7 +302,7 @@ examine(NativeCore *c, int rid, int is_cube)
         if (!blocked) {
             int alit = is_cube ? -p : p;
             c->d_propagations += 1;
-            if (core_assign(c, alit) < 0)
+            if (core_assign(c, alit, rid) < 0)
                 return -1;
             if (vec_push(&c->push_log, alit) < 0
                 || vec_push(&c->push_log, TAG_REC) < 0
@@ -338,7 +371,7 @@ apply_pure(NativeCore *c)
         }
         if (pick) {
             c->d_pure_literals += 1;
-            if (core_assign(c, lit) < 0)
+            if (core_assign(c, lit, -1) < 0)
                 return -1;
             if (vec_push(&c->push_log, lit) < 0
                 || vec_push(&c->push_log, TAG_PURE) < 0
@@ -384,7 +417,19 @@ NativeCore_dealloc(NativeCore *self)
     vec_free(&self->scratch_kept);
     free(self->chosen);
     free(self->pos);
+    free(self->dlevel);
+    free(self->reason_rid);
     vec_free(&self->push_log);
+    vec_free(&self->an_work);
+    vec_free(&self->an_tmp);
+    vec_free(&self->an_banned);
+    vec_free(&self->an_touched);
+    free(self->an_mark);
+    if (self->lit_obj != NULL) {
+        for (i = 0; i < 2 * self->num_slots; i++)
+            Py_XDECREF(self->lit_obj[i]);
+        free(self->lit_obj);
+    }
     Py_TYPE(self)->tp_free((PyObject *)self);
 }
 
@@ -461,18 +506,27 @@ NativeCore_init(NativeCore *self, PyObject *args, PyObject *kwds)
     self->cube_count = (int *)calloc((size_t)(2 * num_slots), sizeof(int));
     self->pure_cand = (unsigned char *)calloc((size_t)num_slots, 1);
     self->pos = (int *)calloc((size_t)num_slots, sizeof(int));
+    self->dlevel = (int *)calloc((size_t)num_slots, sizeof(int));
+    self->reason_rid = (int *)calloc((size_t)num_slots, sizeof(int));
+    self->an_mark = (int *)calloc((size_t)num_slots, sizeof(int));
+    self->lit_obj = (PyObject **)calloc((size_t)(2 * num_slots), sizeof(PyObject *));
     self->chosen = (unsigned char *)calloc((size_t)(2 * num_slots), 1);
     if (self->is_exist == NULL || self->lit_val == NULL
         || self->clause_occ == NULL || self->cube_occ == NULL
         || self->occ_unsat == NULL || self->cube_count == NULL
         || self->pure_cand == NULL || self->pos == NULL
+        || self->dlevel == NULL || self->reason_rid == NULL
+        || self->an_mark == NULL || self->lit_obj == NULL
         || self->chosen == NULL) {
         free(is_exist_tmp);
         PyErr_NoMemory();
         return -1;
     }
-    for (i = 0; i < num_slots; i++)
+    for (i = 0; i < num_slots; i++) {
         self->is_exist[i] = is_exist_tmp[i] != 0;
+        self->pos[i] = -1; /* Trail.pos starts at -1 */
+        self->reason_rid[i] = -1;
+    }
     free(is_exist_tmp);
     return 0;
 }
@@ -587,65 +641,188 @@ NativeCore_add_record(NativeCore *self, PyObject *args)
     return PyLong_FromLong(rid);
 }
 
+/* assign(lit, level, rid): the wrapper's assignment (a decision, an
+ * asserted literal, a checkpoint replay) at decision level `level` with
+ * reason record `rid` (-1 for a decision or a pure literal). */
 static PyObject *
 NativeCore_assign(NativeCore *self, PyObject *args)
 {
-    int lit;
-    if (!PyArg_ParseTuple(args, "i", &lit))
+    int lit, level, rid;
+    if (!PyArg_ParseTuple(args, "iii", &lit, &level, &rid))
         return NULL;
     if (lit == 0 || lit >= self->num_slots || lit <= -self->num_slots) {
         PyErr_Format(PyExc_ValueError, "literal %d out of range", lit);
         return NULL;
     }
-    if (core_assign(self, lit) < 0)
+    if (rid < -1 || rid >= self->n_recs) {
+        PyErr_Format(PyExc_ValueError, "record id %d out of range", rid);
+        return NULL;
+    }
+    self->cur_level = level;
+    if (core_assign(self, lit, rid) < 0)
         return PyErr_NoMemory();
     Py_RETURN_NONE;
 }
 
-/* backtrack(target_len): pop the native trail down to target_len, reversing
- * the eager counters exactly like CounterBackend.backtrack. */
-static PyObject *
-NativeCore_backtrack(NativeCore *self, PyObject *args)
+/* Pop the native trail's top literal, reversing the eager counters exactly
+ * like CounterBackend.backtrack. */
+static void
+core_unassign(NativeCore *c)
 {
-    Py_ssize_t target, i;
-    if (!PyArg_ParseTuple(args, "n", &target))
+    Py_ssize_t i;
+    int lit = c->trail.data[--c->trail.len];
+    int v = lit > 0 ? lit : -lit;
+    IntVec *occ;
+    c->pure_cand[v] = 1;
+    c->reason_rid[v] = -1;
+    occ = &c->clause_occ[c->base + lit];
+    for (i = 0; i < occ->len; i++) {
+        RecC *rec = &c->recs[occ->data[i]];
+        if (--rec->n_true == 0)
+            on_clause_unsat(c, rec);
+    }
+    occ = &c->clause_occ[c->base - lit];
+    for (i = 0; i < occ->len; i++)
+        c->recs[occ->data[i]].n_false -= 1;
+    occ = &c->cube_occ[c->base - lit];
+    for (i = 0; i < occ->len; i++)
+        c->recs[occ->data[i]].n_false -= 1;
+    occ = &c->cube_occ[c->base + lit];
+    for (i = 0; i < occ->len; i++)
+        c->recs[occ->data[i]].n_true -= 1;
+    c->lit_val[c->base + lit] = 0;
+    c->lit_val[c->base - lit] = 0;
+}
+
+/* list[i] = int(v); -1 with an exception set on failure (PyList_SetItem
+ * alone would store a NULL item when the int cannot be allocated). */
+static int
+list_set_long(PyObject *list, Py_ssize_t i, long v)
+{
+    PyObject *num = PyLong_FromLong(v);
+    if (num == NULL)
+        return -1;
+    return PyList_SetItem(list, i, num);
+}
+
+/* block_index[v], checked against the frontier lists it indexes (the
+ * variable against block_index, the block against block_unassigned and
+ * deeper_desc); -1 with an exception set when out of range. */
+static long
+block_of(PyObject *bidx, PyObject *bun, PyObject *ddesc, long v)
+{
+    long bi;
+    if (v < 0 || v >= PyList_GET_SIZE(bidx)) {
+        PyErr_Format(PyExc_ValueError, "variable %ld out of range", v);
+        return -1;
+    }
+    bi = PyLong_AsLong(PyList_GET_ITEM(bidx, v));
+    if (bi == -1 && PyErr_Occurred())
+        return -1;
+    if (!PyList_Check(ddesc) && !PyTuple_Check(ddesc)) {
+        PyErr_SetString(PyExc_TypeError, "deeper_desc: expected a list or tuple");
+        return -1;
+    }
+    if (bi < 0 || bi >= PyList_GET_SIZE(bun)
+        || bi >= PySequence_Fast_GET_SIZE(ddesc)) {
+        PyErr_Format(PyExc_ValueError, "block %ld out of range", bi);
+        return -1;
+    }
+    return bi;
+}
+
+/* Add `delta` to block_blockers[d] for every d in deeper_desc[bi]: the
+ * frontier update of Trail.push/unassign when block bi's unassigned count
+ * crosses between 0 and 1. */
+static int
+adjust_blockers(PyObject *ddesc, long bi, PyObject *bblk, long delta)
+{
+    PyObject *ds = PySequence_Fast(PySequence_Fast_GET_ITEM(ddesc, bi),
+                                   "deeper_desc entry");
+    Py_ssize_t k, nd;
+    if (ds == NULL)
+        return -1;
+    nd = PySequence_Fast_GET_SIZE(ds);
+    for (k = 0; k < nd; k++) {
+        long d = PyLong_AsLong(PySequence_Fast_GET_ITEM(ds, k));
+        long b;
+        if (d < 0 || d >= PyList_GET_SIZE(bblk)) {
+            if (!PyErr_Occurred())
+                PyErr_Format(PyExc_ValueError, "block %ld out of range", d);
+            Py_DECREF(ds);
+            return -1;
+        }
+        b = PyLong_AsLong(PyList_GET_ITEM(bblk, d)) + delta;
+        if (PyErr_Occurred()
+            || list_set_long(bblk, d, b) < 0) {
+            Py_DECREF(ds);
+            return -1;
+        }
+    }
+    Py_DECREF(ds);
+    return 0;
+}
+
+/* backtrack_into(target_len, value, lit_val, reason, block_index,
+ *                block_unassigned, block_blockers, deeper_desc)
+ *
+ * Pop the native trail down to target_len, reversing the counters, with
+ * the Python trail's unwinding fused in (the twin of propagate_into): for
+ * every popped literal the kernel also performs
+ * Trail.unassign on the engine's own lists — value, lit_val, reason and the
+ * frontier counters.  The caller still ends with Trail.shrink (the literal
+ * stack and the per-level lists). */
+static PyObject *
+NativeCore_backtrack_into(NativeCore *self, PyObject *args)
+{
+    Py_ssize_t target;
+    PyObject *value, *lit_val, *reason, *bidx, *bun, *bblk, *ddesc;
+
+    if (!PyArg_ParseTuple(args, "nO!O!O!O!O!O!O", &target, &PyList_Type,
+                          &value, &PyList_Type, &lit_val, &PyList_Type,
+                          &reason, &PyList_Type, &bidx, &PyList_Type, &bun,
+                          &PyList_Type, &bblk, &ddesc))
         return NULL;
     if (target < 0 || target > self->trail.len) {
         PyErr_Format(PyExc_ValueError, "backtrack target %zd out of range",
                      target);
         return NULL;
     }
+    if (PyList_GET_SIZE(value) < self->num_slots
+        || PyList_GET_SIZE(reason) < self->num_slots
+        || PyList_GET_SIZE(lit_val) < 2 * self->num_slots) {
+        PyErr_SetString(PyExc_ValueError, "trail arrays too short");
+        return NULL;
+    }
     while (self->trail.len > target) {
-        int lit = self->trail.data[--self->trail.len];
-        int v = lit > 0 ? lit : -lit;
-        IntVec *occ;
-        self->pure_cand[v] = 1;
-        occ = &self->clause_occ[self->base + lit];
-        for (i = 0; i < occ->len; i++) {
-            RecC *rec = &self->recs[occ->data[i]];
-            if (--rec->n_true == 0)
-                on_clause_unsat(self, rec);
-        }
-        occ = &self->clause_occ[self->base - lit];
-        for (i = 0; i < occ->len; i++)
-            self->recs[occ->data[i]].n_false -= 1;
-        occ = &self->cube_occ[self->base - lit];
-        for (i = 0; i < occ->len; i++)
-            self->recs[occ->data[i]].n_false -= 1;
-        occ = &self->cube_occ[self->base + lit];
-        for (i = 0; i < occ->len; i++)
-            self->recs[occ->data[i]].n_true -= 1;
-        self->lit_val[self->base + lit] = 0;
-        self->lit_val[self->base - lit] = 0;
+        int lit = self->trail.data[self->trail.len - 1];
+        long v = lit > 0 ? lit : -lit;
+        long bi = block_of(bidx, bun, ddesc, v), n;
+        if (bi < 0)
+            return NULL; /* checked before anything is popped */
+        core_unassign(self);
+        if (list_set_long(value, v, 0) < 0
+            || list_set_long(lit_val, self->base + lit, 0) < 0
+            || list_set_long(lit_val, self->base - lit, 0) < 0)
+            return NULL;
+        Py_INCREF(Py_None);
+        if (PyList_SetItem(reason, v, Py_None) < 0)
+            return NULL;
+        n = PyLong_AsLong(PyList_GET_ITEM(bun, bi)) + 1;
+        if (PyErr_Occurred() || list_set_long(bun, bi, n) < 0)
+            return NULL;
+        if (n == 1 && adjust_blockers(ddesc, bi, bblk, 1) < 0)
+            return NULL;
     }
     Py_RETURN_NONE;
 }
 
-/* propagate(queue_head)
+/* propagate(queue_head, level_no)
  *   -> (event, rec_id, pushes, new_queue_head,
  *       max_trail, propagations, pure_literals, clause_visits, cube_visits)
  *
- * The dequeue loop of CounterBackend.propagate.  `pushes` lists every
+ * The dequeue loop of CounterBackend.propagate at decision level
+ * `level_no` (propagation never opens levels).  `pushes` lists every
  * assignment made inside this call as (lit, tag, rec_id) triples, in
  * chronological order, for the wrapper to replay onto the Python Trail.
  * Stats are deltas for this call; max_trail is the running peak. */
@@ -657,7 +834,7 @@ NativeCore_propagate(NativeCore *self, PyObject *args)
     int event_rid = -1;
     PyObject *pushes, *result;
 
-    if (!PyArg_ParseTuple(args, "n", &qh))
+    if (!PyArg_ParseTuple(args, "ni", &qh, &self->cur_level))
         return NULL;
     if (qh < 0 || qh > self->trail.len) {
         PyErr_Format(PyExc_ValueError, "queue head %zd out of range", qh);
@@ -759,15 +936,15 @@ replay_push(NativeCore *self, int lit, PyObject *reason_obj, PyObject *value,
     long bi, n;
     PyObject *num;
 
-    if (PyList_SetItem(value, v, PyLong_FromLong(lit > 0 ? 1 : -1)) < 0)
+    if (list_set_long(value, v, lit > 0 ? 1 : -1) < 0)
         return -1;
-    if (PyList_SetItem(lit_val, self->base + lit, PyLong_FromLong(1)) < 0)
+    if (list_set_long(lit_val, self->base + lit, 1) < 0)
         return -1;
-    if (PyList_SetItem(lit_val, self->base - lit, PyLong_FromLong(-1)) < 0)
+    if (list_set_long(lit_val, self->base - lit, -1) < 0)
         return -1;
-    if (PyList_SetItem(level, v, PyLong_FromLong(level_no)) < 0)
+    if (list_set_long(level, v, level_no) < 0)
         return -1;
-    if (PyList_SetItem(pos, v, PyLong_FromSsize_t(PyList_GET_SIZE(lits))) < 0)
+    if (list_set_long(pos, v, PyList_GET_SIZE(lits)) < 0)
         return -1;
     Py_INCREF(reason_obj);
     if (PyList_SetItem(reason, v, reason_obj) < 0)
@@ -779,30 +956,14 @@ replay_push(NativeCore *self, int lit, PyObject *reason_obj, PyObject *value,
     }
     Py_DECREF(num);
 
-    bi = PyLong_AsLong(PyList_GET_ITEM(bidx, v));
-    if (bi == -1 && PyErr_Occurred())
+    bi = block_of(bidx, bun, ddesc, v);
+    if (bi < 0)
         return -1;
     n = PyLong_AsLong(PyList_GET_ITEM(bun, bi)) - 1;
-    if (PyList_SetItem(bun, bi, PyLong_FromLong(n)) < 0)
+    if ((n == -2 && PyErr_Occurred()) || list_set_long(bun, bi, n) < 0)
         return -1;
-    if (n == 0) {
-        PyObject *ds = PySequence_Fast(PySequence_Fast_GET_ITEM(ddesc, bi),
-                                       "deeper_desc entry");
-        Py_ssize_t k, nd;
-        if (ds == NULL)
-            return -1;
-        nd = PySequence_Fast_GET_SIZE(ds);
-        for (k = 0; k < nd; k++) {
-            long d = PyLong_AsLong(PySequence_Fast_GET_ITEM(ds, k));
-            long b = PyLong_AsLong(PyList_GET_ITEM(bblk, d)) - 1;
-            if (PyErr_Occurred()
-                || PyList_SetItem(bblk, d, PyLong_FromLong(b)) < 0) {
-                Py_DECREF(ds);
-                return -1;
-            }
-        }
-        Py_DECREF(ds);
-    }
+    if (n == 0 && adjust_blockers(ddesc, bi, bblk, -1) < 0)
+        return -1;
     return 0;
 }
 
@@ -828,6 +989,7 @@ NativeCore_propagate_into(NativeCore *self, PyObject *args)
         PyErr_Format(PyExc_ValueError, "queue head %zd out of range", qh);
         return NULL;
     }
+    self->cur_level = (int)level_no;
     self->push_log.len = 0;
     self->d_propagations = 0;
     self->d_pure_literals = 0;
@@ -978,94 +1140,351 @@ NativeCore_trail_len(NativeCore *self, PyObject *Py_UNUSED(ignored))
 
 /* ------------------------------------------ learning-layer fast paths */
 
-/* reduce(lits, is_cube) -> tuple
- *
- * Exact port of constraints.universal_reduce (is_cube=0) and
+/* Exact port of constraints.universal_reduce (is_cube=0) and
  * constraints.existential_reduce (is_cube=1) over the core's prefix
- * tables.  A droppable literal (universal in a clause, existential in a
- * cube) survives only if some anchor literal of the other kind lies in
- * its scope: level[v] < level[a] and din[v] <= din[a] <= dout[v]. */
-static PyObject *
-NativeCore_reduce(NativeCore *self, PyObject *args)
+ * tables: the kept literals of lits[0..n) land in `out`, in order.  A
+ * droppable literal (universal in a clause, existential in a cube) survives
+ * only if some anchor literal of the other kind lies in its scope:
+ * level[v] < level[a] and din[v] <= din[a] <= dout[v].  `out` must not
+ * alias `lits`. */
+static int
+reduce_ints(NativeCore *c, const int *lits, Py_ssize_t n, int is_cube,
+            IntVec *out)
 {
-    PyObject *lits_o, *fast, *out;
-    int is_cube, anchor_exist;
-    Py_ssize_t i, j, n;
-    IntVec *anchors = &self->scratch_anchor;
-    IntVec *kept = &self->scratch_kept;
-    int has_droppable = 0;
-
-    if (!PyArg_ParseTuple(args, "Oi", &lits_o, &is_cube))
-        return NULL;
-    fast = PySequence_Fast(lits_o, "expected a literal sequence");
-    if (fast == NULL)
-        return NULL;
-    n = PySequence_Fast_GET_SIZE(fast);
-    anchor_exist = is_cube ? 0 : 1; /* clause: ∃ anchors; cube: ∀ anchors */
+    Py_ssize_t i, j;
+    IntVec *anchors = &c->scratch_anchor;
+    int anchor_exist = is_cube ? 0 : 1; /* clause: ∃ anchors; cube: ∀ */
 
     anchors->len = 0;
     for (i = 0; i < n; i++) {
-        long lit = PyLong_AsLong(PySequence_Fast_GET_ITEM(fast, i));
-        long v = lit > 0 ? lit : -lit;
-        if (lit == 0 || v >= self->num_slots) {
-            if (!PyErr_Occurred())
-                PyErr_Format(PyExc_ValueError, "literal %ld out of range", lit);
-            Py_DECREF(fast);
-            return NULL;
-        }
-        if (self->is_exist[v] == anchor_exist) {
-            if (vec_push(anchors, (int)v) < 0) {
-                Py_DECREF(fast);
-                return PyErr_NoMemory();
-            }
-        }
-        else
-            has_droppable = 1;
+        int v = lits[i] > 0 ? lits[i] : -lits[i];
+        if (c->is_exist[v] == anchor_exist && vec_push(anchors, v) < 0)
+            return -1;
     }
-    if (!has_droppable) {
-        /* Python returns tuple(lits) unchanged */
-        out = PySequence_Tuple(fast);
-        Py_DECREF(fast);
-        return out;
-    }
-    kept->len = 0;
+    out->len = 0;
     for (i = 0; i < n; i++) {
-        long lit = PyLong_AsLong(PySequence_Fast_GET_ITEM(fast, i));
-        long v = lit > 0 ? lit : -lit;
+        int lit = lits[i];
+        int v = lit > 0 ? lit : -lit;
         int keep = 0;
-        if (self->is_exist[v] == anchor_exist)
+        if (c->is_exist[v] == anchor_exist)
             keep = 1;
         else {
-            int v_level = self->level[v];
-            int v_din = self->din[v];
-            int v_dout = self->dout[v];
+            int v_level = c->level[v];
+            int v_din = c->din[v];
+            int v_dout = c->dout[v];
             for (j = 0; j < anchors->len; j++) {
                 int a = anchors->data[j];
-                if (v_level < self->level[a] && v_din <= self->din[a]
-                    && self->din[a] <= v_dout) {
+                if (v_level < c->level[a] && v_din <= c->din[a]
+                    && c->din[a] <= v_dout) {
                     keep = 1;
                     break;
                 }
             }
         }
-        if (keep && vec_push(kept, (int)lit) < 0) {
+        if (keep && vec_push(out, lit) < 0)
+            return -1;
+    }
+    return 0;
+}
+
+/* read a literal sequence into `out`, range-checked */
+static int
+read_lits(NativeCore *c, PyObject *lits_o, IntVec *out)
+{
+    PyObject *fast = PySequence_Fast(lits_o, "expected a literal sequence");
+    Py_ssize_t i, n;
+    if (fast == NULL)
+        return -1;
+    n = PySequence_Fast_GET_SIZE(fast);
+    out->len = 0;
+    for (i = 0; i < n; i++) {
+        long lit = PyLong_AsLong(PySequence_Fast_GET_ITEM(fast, i));
+        long v = lit > 0 ? lit : -lit;
+        if (lit == 0 || v >= c->num_slots) {
+            if (!PyErr_Occurred())
+                PyErr_Format(PyExc_ValueError, "literal %ld out of range", lit);
             Py_DECREF(fast);
-            return PyErr_NoMemory();
+            return -1;
+        }
+        if (vec_push(out, (int)lit) < 0) {
+            Py_DECREF(fast);
+            PyErr_NoMemory();
+            return -1;
         }
     }
     Py_DECREF(fast);
-    out = PyTuple_New(kept->len);
+    return 0;
+}
+
+/* A tuple of the literals in v.  Each literal's int object is made once
+ * per core and shared by every tuple the core returns: learned constraints
+ * keep these tuples, and a fresh int per literal would cost 28 bytes more
+ * per stored literal than the Python analysis, whose resolvents share the
+ * ints of the constraints they came from. */
+static PyObject *
+ints_to_tuple(NativeCore *c, const IntVec *v)
+{
+    Py_ssize_t i;
+    PyObject *out = PyTuple_New(v->len);
     if (out == NULL)
         return NULL;
-    for (i = 0; i < kept->len; i++) {
-        PyObject *num = PyLong_FromLong(kept->data[i]);
-        if (num == NULL) {
+    for (i = 0; i < v->len; i++) {
+        PyObject **slot = &c->lit_obj[c->base + v->data[i]];
+        if (*slot == NULL && (*slot = PyLong_FromLong(v->data[i])) == NULL) {
             Py_DECREF(out);
             return NULL;
         }
-        PyTuple_SET_ITEM(out, i, num);
+        Py_INCREF(*slot);
+        PyTuple_SET_ITEM(out, i, *slot);
     }
     return out;
+}
+
+/* reduce(lits, is_cube) -> tuple: reduce_ints over a Python sequence. */
+static PyObject *
+NativeCore_reduce(NativeCore *self, PyObject *args)
+{
+    PyObject *lits_o;
+    int is_cube;
+
+    if (!PyArg_ParseTuple(args, "Oi", &lits_o, &is_cube))
+        return NULL;
+    if (read_lits(self, lits_o, &self->an_tmp) < 0)
+        return NULL;
+    if (reduce_ints(self, self->an_tmp.data, self->an_tmp.len, is_cube,
+                    &self->scratch_kept) < 0)
+        return PyErr_NoMemory();
+    return ints_to_tuple(self, &self->scratch_kept);
+}
+
+/* ------------------------------------------------ clause/term resolution */
+
+static int
+cmp_int(const void *pa, const void *pb)
+{
+    int a = *(const int *)pa, b = *(const int *)pb;
+    return a < b ? -1 : (a > b ? 1 : 0);
+}
+
+/* Exact port of constraints.resolve: the resolvent of a and b on
+ * pivot_var, sorted by variable, into `out`.  Returns 1 (out untouched)
+ * when the resolvent is tautological, 0 otherwise, -1 on allocation
+ * failure.  an_mark[v] holds v's literal while v is in the resolvent and
+ * is all zero between calls. */
+static int
+resolve_ints(NativeCore *c, const int *a, Py_ssize_t na, const int *b,
+             Py_ssize_t nb, int pivot_var, IntVec *out)
+{
+    Py_ssize_t i;
+    IntVec *touched = &c->an_touched;
+    int *mark = c->an_mark;
+    int taut = 0;
+
+    touched->len = 0;
+    for (i = 0; i < na; i++) {
+        int v = a[i] > 0 ? a[i] : -a[i];
+        if (v == pivot_var)
+            continue;
+        if (mark[v] == 0 && vec_push(touched, v) < 0)
+            goto oom;
+        mark[v] = a[i];
+    }
+    for (i = 0; i < nb; i++) {
+        int v = b[i] > 0 ? b[i] : -b[i];
+        if (v == pivot_var)
+            continue;
+        if (mark[v] != 0 && mark[v] != b[i]) {
+            taut = 1;
+            break;
+        }
+        if (mark[v] == 0 && vec_push(touched, v) < 0)
+            goto oom;
+        mark[v] = b[i];
+    }
+    if (!taut) {
+        qsort(touched->data, (size_t)touched->len, sizeof(int), cmp_int);
+        out->len = 0;
+        for (i = 0; i < touched->len; i++)
+            if (vec_push(out, mark[touched->data[i]]) < 0)
+                goto oom;
+    }
+    for (i = 0; i < touched->len; i++)
+        mark[touched->data[i]] = 0;
+    return taut;
+oom:
+    for (i = 0; i < touched->len; i++)
+        mark[touched->data[i]] = 0;
+    return -1;
+}
+
+/* Exact port of learning._clause_backjump (is_cube=0) and _cube_backjump
+ * (is_cube=1) over the kernel's level/position/value mirrors.  Primaries
+ * are the existential literals of a clause / universal literals of a cube;
+ * a secondary is "defused" when true in a clause / false in a cube.
+ * Returns BJ_NONE, BJ_TERMINAL, or BJ_BACKJUMP with the deepest level,
+ * the asserting literal and the shallowest level filled in. */
+static int
+backjump(NativeCore *c, const IntVec *work, int is_cube, int *bj_level,
+         int *bj_lit, int *bj_shallow)
+{
+    Py_ssize_t i;
+    int prim_exist = is_cube ? 0 : 1;
+    int defused = is_cube ? -1 : 1;
+    int star = 0, star_level = 0, star_pos = 0, have = 0;
+    int b_lo, b_hi, sv, s_level, s_din;
+
+    /* the deepest primary by (level, trail position), first of ties */
+    for (i = 0; i < work->len; i++) {
+        int l = work->data[i];
+        int v = l > 0 ? l : -l;
+        int lv;
+        if (c->is_exist[v] != prim_exist)
+            continue;
+        lv = c->dlevel[v];
+        if (!have || lv > star_level
+            || (lv == star_level && c->pos[v] > star_pos)) {
+            star = l;
+            star_level = lv;
+            star_pos = c->pos[v];
+            have = 1;
+        }
+    }
+    if (!have)
+        return BJ_TERMINAL;
+    if (star_level == 0) {
+        for (i = 0; i < work->len; i++) {
+            int l = work->data[i];
+            int v = l > 0 ? l : -l;
+            if (c->is_exist[v] != prim_exist
+                && c->lit_val[c->base + l] == defused && c->dlevel[v] == 0)
+                return BJ_NONE;
+        }
+        return BJ_TERMINAL;
+    }
+    b_lo = 0;
+    b_hi = star_level - 1;
+    for (i = 0; i < work->len; i++) {
+        int l = work->data[i];
+        int v = l > 0 ? l : -l;
+        if (c->is_exist[v] == prim_exist && l != star && c->dlevel[v] > b_lo)
+            b_lo = c->dlevel[v];
+    }
+    sv = star > 0 ? star : -star;
+    s_level = c->level[sv];
+    s_din = c->din[sv];
+    for (i = 0; i < work->len; i++) {
+        int l = work->data[i];
+        int v = l > 0 ? l : -l;
+        int val, blocking;
+        if (c->is_exist[v] == prim_exist)
+            continue;
+        val = c->lit_val[c->base + l];
+        blocking = c->level[v] < s_level && c->din[v] <= s_din
+                   && s_din <= c->dout[v];
+        if (val == 0) {
+            if (blocking)
+                return BJ_NONE;
+        }
+        else if (val != defused) {
+            if (blocking && c->dlevel[v] > b_lo)
+                b_lo = c->dlevel[v];
+        }
+        else {
+            if (blocking)
+                return BJ_NONE;
+            if (c->dlevel[v] - 1 < b_hi)
+                b_hi = c->dlevel[v] - 1;
+        }
+    }
+    if (b_lo <= b_hi) {
+        *bj_level = b_lo;
+        *bj_lit = star;
+        *bj_shallow = b_hi;
+        return BJ_BACKJUMP;
+    }
+    return BJ_NONE;
+}
+
+/* analyze(lits, is_cube) -> (kind, lits | None, level, assert_lit, shallow)
+ *
+ * Exact port of learning.analyze_conflict (is_cube=0, from a falsified
+ * clause) and learning.analyze_solution (is_cube=1, from a satisfied
+ * cube) without a proof trace: reduce, then until the working constraint
+ * backjumps or proves the QBF, resolve away the primary literal assigned
+ * last (false in a clause / true in a cube) whose reason is a record of the
+ * same kind, banning a pivot whose resolvent would be tautological.  kind
+ * is AN_TERMINAL, AN_FALLBACK (no resolvable primary left) or AN_BACKJUMP;
+ * the other fields are meaningful for a backjump only. */
+static PyObject *
+NativeCore_analyze(NativeCore *self, PyObject *args)
+{
+    PyObject *lits_o, *tuple;
+    int is_cube, prim_exist, aligned;
+    IntVec *work = &self->an_work;
+    IntVec *tmp = &self->an_tmp;
+    IntVec *banned = &self->an_banned;
+
+    if (!PyArg_ParseTuple(args, "Oi", &lits_o, &is_cube))
+        return NULL;
+    if (read_lits(self, lits_o, tmp) < 0)
+        return NULL;
+    if (reduce_ints(self, tmp->data, tmp->len, is_cube, work) < 0)
+        return PyErr_NoMemory();
+    prim_exist = is_cube ? 0 : 1;
+    aligned = is_cube ? 1 : -1; /* a clause's pivots are false, a cube's true */
+    banned->len = 0;
+    for (;;) {
+        int level = 0, alit = 0, shallow = 0;
+        int pivot = 0, pivot_pos = -1, pv, r;
+        Py_ssize_t i, j;
+        RecC *reason;
+
+        r = backjump(self, work, is_cube, &level, &alit, &shallow);
+        if (r == BJ_TERMINAL)
+            return Py_BuildValue("(iOiii)", AN_TERMINAL, Py_None, 0, 0, 0);
+        if (r == BJ_BACKJUMP) {
+            tuple = ints_to_tuple(self, work);
+            if (tuple == NULL)
+                return NULL;
+            return Py_BuildValue("(iNiii)", AN_BACKJUMP, tuple, level, alit,
+                                 shallow);
+        }
+        for (i = 0; i < work->len; i++) {
+            int l = work->data[i];
+            int v = l > 0 ? l : -l;
+            int rid = self->reason_rid[v];
+            int is_banned = 0;
+            if (self->is_exist[v] != prim_exist
+                || self->lit_val[self->base + l] != aligned || rid < 0
+                || self->recs[rid].is_cube != is_cube)
+                continue;
+            for (j = 0; j < banned->len; j++)
+                if (banned->data[j] == l) {
+                    is_banned = 1;
+                    break;
+                }
+            if (!is_banned && self->pos[v] > pivot_pos) {
+                pivot = l;
+                pivot_pos = self->pos[v];
+            }
+        }
+        if (pivot_pos < 0)
+            return Py_BuildValue("(iOiii)", AN_FALLBACK, Py_None, 0, 0, 0);
+        pv = pivot > 0 ? pivot : -pivot;
+        reason = &self->recs[self->reason_rid[pv]];
+        r = resolve_ints(self, work->data, work->len,
+                         self->pool.data + reason->lits_off, reason->lits_len,
+                         pv, tmp);
+        if (r < 0)
+            return PyErr_NoMemory();
+        if (r == 1) {
+            if (vec_push(banned, pivot) < 0)
+                return PyErr_NoMemory();
+            continue;
+        }
+        if (reduce_ints(self, tmp->data, tmp->len, is_cube, work) < 0)
+            return PyErr_NoMemory();
+    }
 }
 
 /* (var, lit) ordering for the model-cube result */
@@ -1093,7 +1512,6 @@ NativeCore_build_model_cube(NativeCore *self, PyObject *Py_UNUSED(ignored))
 {
     IntVec *out = &self->scratch_kept;
     Py_ssize_t r, i;
-    PyObject *result;
 
     memset(self->chosen, 0, (size_t)(2 * self->num_slots));
     out->len = 0;
@@ -1132,18 +1550,7 @@ NativeCore_build_model_cube(NativeCore *self, PyObject *Py_UNUSED(ignored))
             return PyErr_NoMemory();
     }
     qsort(out->data, (size_t)out->len, sizeof(int), cmp_var_lit);
-    result = PyTuple_New(out->len);
-    if (result == NULL)
-        return NULL;
-    for (i = 0; i < out->len; i++) {
-        PyObject *num = PyLong_FromLong(out->data[i]);
-        if (num == NULL) {
-            Py_DECREF(result);
-            return NULL;
-        }
-        PyTuple_SET_ITEM(result, i, num);
-    }
-    return result;
+    return ints_to_tuple(self, out);
 }
 
 /* ------------------------------------------------- branching fast path */
@@ -1248,11 +1655,13 @@ static PyMethodDef NativeCore_methods[] = {
     {"add_record", (PyCFunction)NativeCore_add_record, METH_VARARGS,
      "add_record(is_cube, original, learned, lits, prim, sec) -> rec id"},
     {"assign", (PyCFunction)NativeCore_assign, METH_VARARGS,
-     "assign(lit): push a literal, updating the eager counters"},
-    {"backtrack", (PyCFunction)NativeCore_backtrack, METH_VARARGS,
-     "backtrack(target_len): pop the trail to target_len, reversing counters"},
+     "assign(lit, level, rid): push a literal, updating the eager counters"},
+    {"backtrack_into", (PyCFunction)NativeCore_backtrack_into, METH_VARARGS,
+     "backtrack_into(target_len, <trail lists>): pop the trail to "
+     "target_len, reversing counters, with Trail.unassign fused in"},
     {"propagate", (PyCFunction)NativeCore_propagate, METH_VARARGS,
-     "propagate(queue_head) -> (event, rid, pushes, qh, max_trail, stats...)"},
+     "propagate(queue_head, level) -> (event, rid, pushes, qh, max_trail, "
+     "stats...)"},
     {"propagate_into", (PyCFunction)NativeCore_propagate_into, METH_VARARGS,
      "propagate(queue_head, <trail lists>, recs, PURE) with the push "
      "replay fused in; returns (event, rid, qh, max_trail, stats...)"},
@@ -1266,6 +1675,9 @@ static PyMethodDef NativeCore_methods[] = {
      "length of the native trail mirror (debugging aid)"},
     {"reduce", (PyCFunction)NativeCore_reduce, METH_VARARGS,
      "reduce(lits, is_cube) -> tuple: universal/existential reduction"},
+    {"analyze", (PyCFunction)NativeCore_analyze, METH_VARARGS,
+     "analyze(lits, is_cube) -> (kind, lits, level, assert_lit, shallow): "
+     "clause/term resolution learning"},
     {"build_model_cube", (PyCFunction)NativeCore_build_model_cube, METH_NOARGS,
      "build_model_cube() -> tuple: one satisfying literal per matrix clause"},
     {NULL, NULL, 0, NULL},

@@ -26,10 +26,10 @@ checks the gates, writes the report and renders it. The suites:
 Report envelope (schema ``repro-bench/3``)::
 
     {"schema": "repro-bench/3", "suite": "kernels", "mode": "quick"|"full",
-     "env": {"commit": "<sha>"|null, "python": ..., "platform": ...,
-             "cpu_count": ..., "kernel": {"available": ..., "version": ...,
-                                          "import_error": ...,
-                                          ["fallback": "counters"]}},
+     "env": {"commit": "<sha>"|null, "dirty": true|false|null,
+             "python": ..., "platform": ..., "cpu_count": ...,
+             "kernel": {"available": ..., "version": ..., "path": ...,
+                        "import_error": ..., ["fallback": "counters"]}},
      "series": {...}, "rows": [{"name": ..., "wall_seconds": ...,
                                 "decisions": ..., ["outcome": ...], ...}],
      "summary": {...}, "gates": [{"name": ..., "ok": ..., "failures": [...]}],
@@ -38,7 +38,9 @@ Report envelope (schema ``repro-bench/3``)::
 The series are deterministic — pinned models, decision-only budgets — so
 the decision columns compare across machines and solver versions (the
 parallel cube runs excepted); the seconds are the host's, which is why
-``env`` records it. Wall-clock is gated only by the portfolio bound.
+``env`` records it. ``dirty`` says the work tree had uncommitted changes,
+so ``commit`` names the parent of the code that ran. Wall-clock is gated
+only by the portfolio bound.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ import time
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.engine.native import (
+    kernel_path,
     kernel_version,
     native_available,
     native_import_error,
@@ -81,18 +84,39 @@ def gate(name: str, failures: list) -> dict:
     return {"name": name, "ok": not failures, "failures": failures}
 
 
+def git_state(path: str) -> Tuple[Optional[str], Optional[bool]]:
+    """``(HEAD commit, work tree has uncommitted changes)`` of the git
+    checkout holding ``path``; ``(None, None)`` outside one."""
+    def git(*args: str) -> str:
+        return subprocess.run(
+            ("git",) + args, cwd=path, capture_output=True, text=True, check=True
+        ).stdout
+
+    try:
+        commit = git("rev-parse", "HEAD").strip() or None
+        dirty = bool(git("status", "--porcelain").strip()) if commit else None
+    except (OSError, subprocess.CalledProcessError):
+        return None, None
+    return commit, dirty
+
+
+#: the checkout (or install prefix) this module runs from: src/repro/..
+ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+
+
+def _relative(path: Optional[str]) -> Optional[str]:
+    """``path`` relative to :data:`ROOT` when it lies inside it."""
+    if path is not None and os.path.abspath(path).startswith(ROOT + os.sep):
+        return os.path.relpath(path, ROOT)
+    return path
+
+
 def environment() -> dict:
     """Where a report was measured: commit, interpreter, host, kernel."""
-    try:
-        commit: Optional[str] = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            cwd=os.path.dirname(os.path.abspath(__file__)),
-            capture_output=True, text=True, check=True,
-        ).stdout.strip() or None
-    except (OSError, subprocess.CalledProcessError):
-        commit = None
+    commit, dirty = git_state(ROOT)
     return {
         "commit": commit,
+        "dirty": dirty,
         "python": "%s %s" % (platform.python_implementation(),
                              platform.python_version()),
         "platform": platform.platform(),
@@ -100,6 +124,7 @@ def environment() -> dict:
         "kernel": {
             "available": native_available(),
             "version": kernel_version(),
+            "path": _relative(kernel_path()),
             "import_error": native_import_error(),
         },
     }
@@ -591,7 +616,7 @@ def render_report(report: dict) -> str:
     env = report["env"]
     kernel = env["kernel"]
     if kernel["available"]:
-        kernel_text = "native kernel v%s" % kernel["version"]
+        kernel_text = "native kernel v%s (%s)" % (kernel["version"], kernel["path"])
     else:
         kernel_text = "native kernel UNAVAILABLE (%s)%s" % (
             kernel["import_error"],
@@ -599,9 +624,10 @@ def render_report(report: dict) -> str:
         )
     lines = [
         "repro bench %s — %s mode" % (report["suite"], report["mode"]),
-        "env: commit %s, %s, %s, %s CPUs, %s" % (
-            (env["commit"] or "unknown")[:12], env["python"], env["platform"],
-            env["cpu_count"], kernel_text),
+        "env: commit %s%s, %s, %s, %s CPUs, %s" % (
+            (env["commit"] or "unknown")[:12],
+            " (uncommitted changes)" if env["dirty"] else "",
+            env["python"], env["platform"], env["cpu_count"], kernel_text),
         "series: %s" % json.dumps(report["series"]),
         "",
         "  %-28s %8s %10s %12s" % ("row", "outcome", "wall", "decisions"),

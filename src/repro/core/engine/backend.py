@@ -56,6 +56,9 @@ class Rec:
     each preserving literal order. They are immutable once installed; the
     examine scan iterates them instead of re-testing the quantifier of
     every literal on every visit.
+
+    ``rid`` is the record's id in a compiled backend's own store (-1 when
+    the backend keeps none).
     """
 
     __slots__ = (
@@ -65,6 +68,7 @@ class Rec:
         "original",
         "prim",
         "sec",
+        "rid",
     )
 
     def __init__(self, constraint: Constraint, original: bool):
@@ -74,6 +78,7 @@ class Rec:
         self.original = original
         self.prim: Tuple[int, ...] = ()
         self.sec: Tuple[int, ...] = ()
+        self.rid = -1
 
     @property
     def lits(self) -> Tuple[int, ...]:
@@ -97,12 +102,16 @@ class PropagationBackend:
     #: backend that owns compiled equivalents of the analysis-layer hot
     #: functions overrides these (see the native backend); None means "use
     #: the pure-Python reference" — :func:`~repro.core.constraints.
-    #: universal_reduce` / ``existential_reduce`` and :func:`~repro.core.
-    #: learning.build_model_cube`. Overrides must be exact ports: they sit
-    #: on the learning path, so any deviation breaks decision identity.
+    #: universal_reduce` / ``existential_reduce``, :func:`~repro.core.
+    #: learning.build_model_cube` and the untraced :func:`~repro.core.
+    #: learning.analyze_conflict` / ``analyze_solution``. Overrides must be
+    #: exact ports: they sit on the learning path, so any deviation breaks
+    #: decision identity.
     reduce_clause_fast = None
     reduce_cube_fast = None
     native_model_cube = None
+    analyze_conflict_fast = None
+    analyze_solution_fast = None
 
     def accelerated_picker(self, policy, keeper):
         """A compiled branching closure for ``policy``, or None for the
@@ -185,12 +194,14 @@ class PropagationBackend:
         """Precompute the record's primary/secondary literal tuples, in
         literal order, so no examine scan ever re-tests a quantifier."""
         is_exist = self._tab.is_exist
+        exist: List[int] = []
+        univ: List[int] = []
+        for l in rec.lits:
+            (exist if is_exist[l if l > 0 else -l] else univ).append(l)
         if rec.is_cube:
-            rec.prim = tuple(l for l in rec.lits if not is_exist[l if l > 0 else -l])
-            rec.sec = tuple(l for l in rec.lits if is_exist[l if l > 0 else -l])
+            rec.prim, rec.sec = tuple(univ), tuple(exist)
         else:
-            rec.prim = tuple(l for l in rec.lits if is_exist[l if l > 0 else -l])
-            rec.sec = tuple(l for l in rec.lits if not is_exist[l if l > 0 else -l])
+            rec.prim, rec.sec = tuple(exist), tuple(univ)
 
     def _install_clause(self, rec: Rec) -> None:
         raise NotImplementedError

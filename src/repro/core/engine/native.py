@@ -12,13 +12,16 @@ inherits the reference semantics directly: same events on the same records
 in the same order, hence the same decisions, trail, learned constraints and
 outcome.  The wrapper keeps the Python :class:`~repro.core.engine.trail.
 Trail` authoritative for everything the search layer reads (values, levels,
-positions, reasons, the branching frontier): forwarded ``assign``/
-``backtrack`` calls update both sides, and assignments made *inside* a
-native ``propagate()`` come back as a chronological push log that is
-replayed onto the Python trail before the event is returned.  Only the
-per-record bookkeeping (occurrence lists, satisfaction counters, the
-pure-literal sidecar) lives exclusively in C — the Python ``Rec`` objects
-remain as identity tokens for the search layer and the proof logger.
+positions, reasons, the branching frontier): forwarded ``assign`` calls
+update both sides, assignments made *inside* a native ``propagate()`` are
+replayed onto the Python trail's lists by the kernel before the event is
+returned, and ``backtrack`` unwinds both in one kernel call.  The kernel
+also mirrors every variable's decision level, trail position and reason
+record id, which is what lets it run the untraced clause/term resolution
+analysis itself.  Only the per-record bookkeeping (occurrence lists,
+satisfaction counters, the pure-literal sidecar) lives exclusively in C —
+the Python ``Rec`` objects remain as identity tokens for the search layer
+and the proof logger, addressed by ``Rec.rid``.
 
 **Fallback.** When the extension is missing the backend cannot run.  The
 engine-selection layer (:func:`repro.core.engine.search.resolve_backend`)
@@ -27,11 +30,15 @@ kernel ports — *loudly*: a :class:`NativeFallbackWarning` is emitted and
 the run's ``SolverStats.engine_fallback`` records ``"counters"`` so
 benchmark rows and evalx records can never silently change engines.  Set
 ``REPRO_REQUIRE_NATIVE=1`` (or ``SolverConfig(require_native=True)``) to
-turn the fallback into a structured :class:`NativeUnavailableError`.
+turn the fallback into a structured :class:`NativeUnavailableError`.  A
+kernel built from an older source (its ``KERNEL_VERSION`` differs from
+:data:`KERNEL_VERSION`) counts as unavailable the same way, with a reason
+naming both versions.
 """
 
 from __future__ import annotations
 
+import importlib
 from typing import Iterable, Iterator, Optional, Tuple
 
 from repro.core.engine.backend import (
@@ -42,19 +49,42 @@ from repro.core.engine.backend import (
     PropagationBackend,
     Rec,
 )
+from repro.core.learning import AnalysisOutcome, Backjump, Fallback, Terminal
 
-try:  # the compiled kernel is optional by design
-    # importlib rather than `from repro import _native`: the latter reports
-    # a missing extension as a bogus "partially initialized module" error
-    # when this module is first pulled in during the package's own init.
-    import importlib
+#: the kernel API this wrapper speaks; ``_native.c`` stamps the same number.
+KERNEL_VERSION = 3
 
-    _native = importlib.import_module("repro._native")
-except ImportError as exc:  # pragma: no cover - depends on the build
-    _native = None
-    _IMPORT_ERROR: Optional[str] = str(exc)
-else:
-    _IMPORT_ERROR = None
+#: the rebuild command every unavailable-kernel message names.
+BUILD_COMMAND = "python setup.py build_ext --inplace"
+
+
+def load_kernel() -> Tuple[Optional[object], Optional[str]]:
+    """Import ``repro._native`` and check its version stamp.
+
+    Returns ``(module, None)``, or ``(None, reason)`` when the extension is
+    missing or was built from another kernel version (a stale in-place
+    build would otherwise load and fail mid-solve).
+    """
+    try:
+        # importlib rather than `from repro import _native`: the latter
+        # reports a missing extension as a bogus "partially initialized
+        # module" error when this module is first pulled in during the
+        # package's own init.
+        module = importlib.import_module("repro._native")
+    except ImportError as exc:  # pragma: no cover - depends on the build
+        return None, str(exc)
+    found = getattr(module, "KERNEL_VERSION", None)
+    if found != KERNEL_VERSION:
+        return None, (
+            "stale kernel %s reports KERNEL_VERSION %s but this source "
+            "expects %d; rebuild it with `%s`"
+            % (getattr(module, "__file__", "repro._native"), found,
+               KERNEL_VERSION, BUILD_COMMAND)
+        )
+    return module, None
+
+
+_native, _IMPORT_ERROR = load_kernel()
 
 
 class NativeFallbackWarning(RuntimeWarning):
@@ -73,11 +103,11 @@ class NativeUnavailableError(RuntimeError):
         self.reason = reason
         super().__init__(
             "the native propagation kernel (repro._native) is unavailable: "
-            "%s. Build it with `python setup.py build_ext --inplace` (or "
+            "%s. Build it with `%s` (or "
             "`pip install -e .` with a C compiler on PATH), pick another "
             "engine (--engine counters), or unset "
             "REPRO_REQUIRE_NATIVE / require_native to accept the "
-            "pure-Python fallback." % reason
+            "pure-Python fallback." % (reason, BUILD_COMMAND)
         )
 
 
@@ -94,6 +124,21 @@ def native_import_error() -> Optional[str]:
 def kernel_version() -> Optional[int]:
     """The compiled kernel's version stamp, or None when unavailable."""
     return None if _native is None else int(_native.KERNEL_VERSION)
+
+
+def kernel_path() -> Optional[str]:
+    """The file the compiled kernel was loaded from, or None."""
+    return None if _native is None else getattr(_native, "__file__", None)
+
+
+def _outcome(result) -> AnalysisOutcome:
+    """Map the kernel's ``analyze`` tuple to the learning-layer outcome."""
+    kind, lits, level, assert_lit, shallow = result
+    if kind == 2:
+        return Backjump(lits, level, assert_lit, shallow)
+    if kind == 0:
+        return Terminal()
+    return Fallback()
 
 
 class _NativeCandidates:
@@ -157,8 +202,8 @@ class NativeBackend(PropagationBackend):
             track_pure=1 if config.pure_literals else 0,
         )
         for rec in self.orig_clauses:
-            rid = core.add_record(0, 1, 0, rec.lits, rec.prim, rec.sec)
-            assert rid == len(self._recs)
+            rec.rid = core.add_record(0, 1, 0, rec.lits, rec.prim, rec.sec)
+            assert rec.rid == len(self._recs)
             self._recs.append(rec)
         core.set_candidates(sorted(self.pure_candidates))
         self.pure_candidates = _NativeCandidates(core)  # type: ignore[assignment]
@@ -176,13 +221,13 @@ class NativeBackend(PropagationBackend):
         pass
 
     def _install_learned_clause(self, rec: Rec) -> None:
-        rid = self._core.add_record(0, 0, 1, rec.lits, rec.prim, rec.sec)
-        assert rid == len(self._recs)
+        rec.rid = self._core.add_record(0, 0, 1, rec.lits, rec.prim, rec.sec)
+        assert rec.rid == len(self._recs)
         self._recs.append(rec)
 
     def _install_learned_cube(self, rec: Rec) -> None:
-        rid = self._core.add_record(1, 0, 1, rec.lits, rec.prim, rec.sec)
-        assert rid == len(self._recs)
+        rec.rid = self._core.add_record(1, 0, 1, rec.lits, rec.prim, rec.sec)
+        assert rec.rid == len(self._recs)
         self._recs.append(rec)
 
     # -- the backend interface ---------------------------------------------
@@ -190,19 +235,28 @@ class NativeBackend(PropagationBackend):
     def assign(self, lit: int, reason: object) -> None:
         trail = self.trail
         trail.push(lit, reason)
-        self._core.assign(lit)
+        # decisions and pure literals carry no record: rid -1
+        self._core.assign(
+            lit, len(trail.level_start) - 1, getattr(reason, "rid", -1)
+        )
         if len(trail.lits) > self.stats.max_trail:
             self.stats.max_trail = len(trail.lits)
 
     def backtrack(self, to_level: int) -> None:
         trail = self.trail
         target = trail.level_start[to_level + 1]
-        self._core.backtrack(target)
-        unassign = trail.unassign
-        for lit in reversed(trail.lits[target:]):
-            # candidate re-flagging happens inside the kernel's backtrack;
-            # here only the Python trail state is unwound.
-            unassign(lit)
+        # The kernel unwinds the trail's lists as it pops its own trail
+        # (the C twin of Trail.unassign), like propagate_into.
+        self._core.backtrack_into(
+            target,
+            trail.value,
+            trail.lit_val,
+            trail.reason,
+            trail.block_index,
+            trail.block_unassigned,
+            trail.block_blockers,
+            trail._deeper_desc,
+        )
         trail.shrink(to_level, target)
 
     def propagate(self) -> Optional[Tuple[str, object]]:
@@ -251,7 +305,7 @@ class NativeBackend(PropagationBackend):
                 pure_literals,
                 clause_visits,
                 cube_visits,
-            ) = self._core.propagate(trail.queue_head)
+            ) = self._core.propagate(trail.queue_head, trail.current_level)
             push = trail.push
             for lit, tag, reason_rid in pushes:
                 push(lit, PURE if tag == 1 else recs[reason_rid])
@@ -297,14 +351,27 @@ class NativeBackend(PropagationBackend):
         runs without touching a Python object."""
         return self._core.build_model_cube()
 
+    def analyze_conflict_fast(self, conflict) -> AnalysisOutcome:
+        """Untraced :func:`~repro.core.learning.analyze_conflict`, in C.
+
+        Q-resolution over the kernel's records, with the kernel's mirrors
+        of each variable's level, trail position and reason record."""
+        return _outcome(self._core.analyze(conflict, 0))
+
+    def analyze_solution_fast(self, model_cube) -> AnalysisOutcome:
+        """Untraced :func:`~repro.core.learning.analyze_solution`, in C
+        (term resolution, the dual of :meth:`analyze_conflict_fast`)."""
+        return _outcome(self._core.analyze(model_cube, 1))
+
     def accelerated_picker(self, policy: str, keeper):
         """A compiled branching closure for ``policy``, or None.
 
         Only the default ``levelsub`` ranking has a C port; the ablation
         policies keep the pure-Python picker (they never run in the perf
-        lane). The keeper's lazily-recomputed subtree maxima stay in
-        Python — the closure flushes the dirty flag, then ranks the
-        available list in C against the keeper's own score arrays."""
+        lane). The keeper's subtree maxima stay in Python, kept current by
+        its incremental updates — the closure runs the full recompute only
+        while the keeper is dirty, then ranks the available list in C
+        against the keeper's own score arrays."""
         if policy != "levelsub":
             return None
         pick_levelsub = _native.pick_levelsub

@@ -144,6 +144,8 @@ class SearchEngine:
             pos_arr=self.trail.pos,
             reduce_clause=self.backend.reduce_clause_fast,
             reduce_cube=self.backend.reduce_cube_fast,
+            analyze_clause=self.backend.analyze_conflict_fast,
+            analyze_cube=self.backend.analyze_solution_fast,
         )
         self._deadline: Optional[float] = None
 

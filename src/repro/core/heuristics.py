@@ -21,13 +21,41 @@ the policies differ only in ranking.
 
 Storage layout: the counters live in two flat lists indexed by variable
 (``score_pos[v]`` for literal ``v``, ``score_neg[v]`` for ``-v``), and the
-per-block subtree maxima in two lists indexed by block DFS index. The
-arithmetic is unchanged from the dict-backed original — bump adds the same
-1.0, decay multiplies every counter by the same factor, ``_recompute`` folds
-the same ``max(score + kid)`` per block — so decisions are bit-identical;
-only the indexing cost changed. ``keeper.score`` remains available as a
-dict-like signed-literal view (:class:`_ScoreView`) for checkpoints and
-tests; hot paths read the arrays directly.
+per-block maxima in three lists indexed by block DFS index: ``block_max``
+(the largest raw counter of the block's literals), ``child_max`` (the
+largest score one alternation deeper) and ``subtree_max`` (``block_max +
+child_max``: the block's best augmented score). ``keeper.score`` remains
+available as a dict-like signed-literal view (:class:`_ScoreView`) for
+checkpoints and tests; hot paths read the arrays directly.
+
+**Incremental maxima.** ``_recompute`` folds every block bottom-up and is
+the reference; it runs only when the keeper is dirty — on the first pick
+after the matrix counters are set, and after a checkpoint restore rewrote
+the scores. Between those, :meth:`ScoreKeeper.on_learned` keeps the three
+arrays current itself: a bump only raises one counter, so it raises
+``block_max`` of that literal's block and climbs the parent chain, raising
+``subtree_max``/``child_max`` until a maximum does not rise; a decay halves
+all three arrays. Both updates are bit-identical to a fresh
+``_recompute``:
+
+* the recompute evaluates ``max(s_i + kid)`` over a block's counters
+  ``s_i``; IEEE rounding is monotone, so that equals ``max(s_i) + kid``,
+  which is ``block_max + child_max``;
+* halving is monotone, so it commutes with every ``max``: halving
+  ``block_max`` and ``child_max`` equals recomputing them from halved
+  counters, always. ``subtree_max`` is a sum, ``fl(block_max +
+  child_max)``; halving it equals the sum of the halves when all three
+  halvings are exact, i.e. when each nonzero operand is at least
+  ``2**-1021`` (its half is still a normal float; the sum is no smaller).
+  Each decay checks that precondition on the block arrays first and, if
+  it fails (a subtree left unbumped for ~1000 decays), marks the keeper
+  dirty so the reference recompute rebuilds the maxima.
+
+A child at the same alternation level passes its ``child_max``, not its
+``subtree_max``, to the parent — the recompute's two cases, kept exactly.
+Blocks are never empty (:class:`~repro.core.prefix.Prefix` splices empty
+blocks out), so every block's ``subtree_max`` is ``block_max +
+child_max``.
 """
 
 from __future__ import annotations
@@ -99,6 +127,10 @@ class ScoreKeeper:
     #: ("halving the old score", Section VI).
     DECAY = 0.5
 
+    #: the smallest positive float whose half is still a normal float, so
+    #: halving it (and any larger value) is exact.
+    _EXACT_HALVING_MIN = 2.0 ** -1021
+
     def __init__(self, prefix: Prefix, decay_interval: int = 64):
         self.prefix = prefix
         tab = prefix.tables()
@@ -107,29 +139,43 @@ class ScoreKeeper:
         self._is_exist = tab.is_exist
         self._level = tab.level
         self._block_index = tab.block_index
-        n_blocks = len(tab.block_vars)
+        blocks = prefix.blocks
+        n_blocks = len(blocks)
+        self._block_max: List[float] = [0.0] * n_blocks
         self._subtree_max: List[float] = [0.0] * n_blocks
         self._child_max: List[float] = [0.0] * n_blocks
+        #: per block: parent block index (-1 under the virtual root), and
+        #: whether the parent sits at a strictly lower level (then it reads
+        #: this block's subtree_max, else its child_max).
+        self._parent: List[int] = [-1] * n_blocks
+        self._deeper: List[bool] = [False] * n_blocks
+        for block in blocks:
+            parent = block.parent
+            if parent is not None and not parent.is_root:
+                self._parent[block.index] = parent.index
+                self._deeper[block.index] = block.level > parent.level
         self.decay_interval = decay_interval
         self._since_decay = 0
         self._dirty = True
         self.score = _ScoreView(self)
 
-    def _bump(self, lit: int) -> None:
+    def _bump(self, lit: int) -> float:
+        """Raise ``lit``'s counter by one and return the raised value."""
         # Section VI: an existential literal counts the constraints it
         # occurs in; a universal literal counts the constraints its
         # *complement* occurs in (the universal player branches to falsify).
         if lit > 0:
             if self._is_exist[lit]:
-                self.score_pos[lit] += 1.0
+                s = self.score_pos[lit] = self.score_pos[lit] + 1.0
             else:
-                self.score_neg[lit] += 1.0
+                s = self.score_neg[lit] = self.score_neg[lit] + 1.0
         else:
             v = -lit
             if self._is_exist[v]:
-                self.score_neg[v] += 1.0
+                s = self.score_neg[v] = self.score_neg[v] + 1.0
             else:
-                self.score_pos[v] += 1.0
+                s = self.score_pos[v] = self.score_pos[v] + 1.0
+        return s
 
     def bump_initial(self, clauses: Iterable[Sequence[int]]) -> None:
         """Initialize counters from matrix occurrences."""
@@ -139,21 +185,68 @@ class ScoreKeeper:
         self._dirty = True
 
     def on_learned(self, lits: Sequence[int]) -> None:
-        """Bump the literals of a freshly learned constraint and maybe decay."""
+        """Bump the literals of a freshly learned constraint and maybe decay.
+
+        The per-block maxima are raised in place: see the module docstring
+        for why the result equals :meth:`_recompute` bit for bit. While the
+        keeper is dirty the climb runs over stale maxima, which is harmless:
+        the pending recompute overwrites all three arrays.
+        """
+        bump = self._bump
+        block_index = self._block_index
+        block_max = self._block_max
+        subtree_max = self._subtree_max
+        child_max = self._child_max
+        parent = self._parent
+        deeper = self._deeper
         for lit in lits:
-            self._bump(lit)
+            s = bump(lit)
+            b = block_index[lit if lit > 0 else -lit]
+            if s <= block_max[b]:
+                continue
+            block_max[b] = s
+            # Climb while a maximum rises: block b's block_max or child_max
+            # just rose; refresh its subtree_max and hand the value its
+            # parent reads upwards.
+            while True:
+                kid = child_max[b]
+                subtree_max[b] = block_max[b] + kid
+                p = parent[b]
+                if p < 0:
+                    break
+                up = subtree_max[b] if deeper[b] else kid
+                if up <= child_max[p]:
+                    break
+                child_max[p] = up
+                b = p
         self._since_decay += 1
         if self._since_decay >= self.decay_interval:
             self._since_decay = 0
-            decay = self.DECAY
-            # In-place (the arrays are captured by picker closures and must
-            # never be rebound). Unused slots stay 0.0, same as before.
-            score_pos = self.score_pos
-            score_neg = self.score_neg
-            for i in range(len(score_pos)):
-                score_pos[i] *= decay
-                score_neg[i] *= decay
-        self._dirty = True
+            self._decay()
+
+    def _decay(self) -> None:
+        # Halving the maxima matches a recompute from halved counters only
+        # while every halving is exact: once a nonzero block_max/child_max
+        # falls below 2**-1021 (the sums in subtree_max are no smaller), the
+        # reference recompute takes over (see the module docstring).
+        tiny = self._EXACT_HALVING_MIN
+        for arr in (self._block_max, self._child_max):
+            for x in arr:
+                if 0.0 < x < tiny:
+                    self._dirty = True
+                    break
+        decay = self.DECAY
+        # In-place (the arrays are captured by picker closures and must
+        # never be rebound). Unused slots stay 0.0, same as before.
+        for arr in (
+            self.score_pos,
+            self.score_neg,
+            self._block_max,
+            self._subtree_max,
+            self._child_max,
+        ):
+            for i in range(len(arr)):
+                arr[i] *= decay
 
     # -- PO subtree scores ---------------------------------------------------
 
@@ -165,7 +258,11 @@ class ScoreKeeper:
         ``subtree_max`` among the children of ``b`` (0 for leaves). This is
         precisely the Section VI definition, evaluated per block since all
         variables of a block share the same children.
+
+        The reference for the incremental maxima kept by :meth:`on_learned`;
+        it runs only while the keeper is dirty.
         """
+        block_max = self._block_max
         subtree_max = self._subtree_max
         child_max = self._child_max
         score_pos = self.score_pos
@@ -183,9 +280,12 @@ class ScoreKeeper:
                     # only its strictly deeper descendants count.
                     kid = max(kid, child_max[child.index])
             child_max[block.index] = kid
+            raw = 0.0
             best = 0.0
             for v in block.variables:
+                raw = max(raw, score_pos[v], score_neg[v])
                 best = max(best, score_pos[v] + kid, score_neg[v] + kid)
+            block_max[block.index] = raw
             subtree_max[block.index] = best
         self._dirty = False
 

@@ -110,6 +110,8 @@ class TrailView:
         pos_arr=None,
         reduce_clause=None,
         reduce_cube=None,
+        analyze_clause=None,
+        analyze_cube=None,
     ):
         self.value = value
         self.level_of = level_of
@@ -125,6 +127,12 @@ class TrailView:
         #: its backend carries them; None falls back to the Python reference.
         self.reduce_clause = reduce_clause
         self.reduce_cube = reduce_cube
+        #: optional compiled analyses (exact ports of analyze_conflict /
+        #: analyze_solution without a trace, reading the engine's trail);
+        #: used only for untraced runs, so certified runs always take the
+        #: Python path below and log every resolution step.
+        self.analyze_clause = analyze_clause
+        self.analyze_cube = analyze_cube
 
 
 def _clause_backjump(work: Sequence[int], view: TrailView) -> Optional[AnalysisOutcome]:
@@ -289,8 +297,13 @@ def analyze_conflict(
 
     ``trace``, when given, is a :class:`repro.certify.proof.DerivationTrace`
     mirroring every resolution/reduction step into a certificate. Tracing is
-    passive — it never changes which constraint is derived.
+    passive — it never changes which constraint is derived. Without a trace
+    the view's compiled ``analyze_clause`` runs instead, when it has one.
     """
+    if trace is None:
+        fast = getattr(view, "analyze_clause", None)
+        if fast is not None:
+            return fast(conflict)
     prefix = view.prefix
     is_exist = prefix.tables().is_exist
     value = view.value
@@ -345,8 +358,13 @@ def analyze_solution(
     """Derive a learned cube from a satisfied cube (good learning).
 
     ``trace`` mirrors the derivation into a certificate, as in
-    :func:`analyze_conflict`.
+    :func:`analyze_conflict`; without one the view's compiled
+    ``analyze_cube`` runs instead, when it has one.
     """
+    if trace is None:
+        fast = getattr(view, "analyze_cube", None)
+        if fast is not None:
+            return fast(model_cube)
     prefix = view.prefix
     is_exist = prefix.tables().is_exist
     value = view.value

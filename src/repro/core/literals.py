@@ -73,9 +73,21 @@ def check_no_duplicate_vars(lits: Iterable[int]) -> Tuple[int, ...]:
     the literals as a tuple, sorted by variable then sign, so that syntactic
     equality of constraints is canonical.
 
+    A tuple already in that form (variables strictly increasing) is
+    returned as is after one scan; learned constraints arrive that way.
+
     Raises:
         ValueError: if a variable occurs twice or a literal is zero.
     """
+    if isinstance(lits, tuple):
+        prev = 0
+        for lit in lits:
+            v = lit if lit > 0 else -lit
+            if v <= prev:  # also catches 0
+                break
+            prev = v
+        else:
+            return lits
     out = sorted(set(lits), key=lambda l: (var_of(l), l))
     seen = set()
     for lit in out:

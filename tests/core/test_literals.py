@@ -69,3 +69,15 @@ def test_check_no_duplicate_vars_rejects_opposite_literals():
 def test_check_no_duplicate_vars_rejects_zero():
     with pytest.raises(ValueError):
         check_no_duplicate_vars([0])
+
+
+def test_check_no_duplicate_vars_tuples_take_the_same_path():
+    # canonical tuples come back as they are; any other tuple is checked
+    # and canonicalized exactly like a list
+    canonical = (-1, 2, 5)
+    assert check_no_duplicate_vars(canonical) is canonical
+    assert check_no_duplicate_vars((3, -1, 2)) == (-1, 2, 3)
+    assert check_no_duplicate_vars((2, 2, -1)) == (-1, 2)
+    for bad in ((1, -1), (0,), (-2, 0, 3)):
+        with pytest.raises(ValueError):
+            check_no_duplicate_vars(bad)

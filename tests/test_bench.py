@@ -1,6 +1,8 @@
 """Tests for the ``repro bench`` harness: envelope, gates, CLI exit codes."""
 
 import json
+import os
+import subprocess
 
 import pytest
 
@@ -57,8 +59,11 @@ def test_quick_report_envelope(suite, tiny_series, monkeypatch, tmp_path):
     assert set(report) == {"schema", "suite", "mode", "env", "series", "rows",
                            "summary", "gates", "ok"}
     env = report["env"]
-    assert set(env) == {"commit", "python", "platform", "cpu_count", "kernel"}
-    assert {"available", "version", "import_error"} <= set(env["kernel"])
+    assert set(env) == {"commit", "dirty", "python", "platform", "cpu_count",
+                        "kernel"}
+    assert {"available", "version", "path", "import_error"} <= set(env["kernel"])
+    assert env["dirty"] in (True, False, None)
+    assert (env["kernel"]["path"] is not None) == env["kernel"]["available"]
     assert report["rows"]
     for row in report["rows"]:
         for key in ("name", "wall_seconds", "decisions") + ROW_FIELDS[suite]:
@@ -67,6 +72,42 @@ def test_quick_report_envelope(suite, tiny_series, monkeypatch, tmp_path):
     for g in report["gates"]:
         assert g["name"] and g["ok"] and g["failures"] == [], g
     assert report["ok"]
+
+
+def test_git_state_names_commit_and_dirty_tree(tmp_path):
+    repo = str(tmp_path)
+
+    def git(*args):
+        subprocess.run(("git", "-c", "user.name=t", "-c", "user.email=t@t")
+                       + args, cwd=repo, check=True, capture_output=True)
+
+    assert bench.git_state(repo) == (None, None)  # not a checkout yet
+    git("init", "-q")
+    (tmp_path / "a.txt").write_text("one\n")
+    git("add", "a.txt")
+    git("commit", "-q", "-m", "one")
+    commit, dirty = bench.git_state(repo)
+    assert len(commit) == 40 and dirty is False
+    (tmp_path / "a.txt").write_text("two\n")
+    assert bench.git_state(repo) == (commit, True)
+    git("commit", "-q", "-am", "two")
+    new_commit, dirty = bench.git_state(repo)
+    assert new_commit != commit and dirty is False
+
+
+def test_environment_names_the_loaded_kernel(monkeypatch):
+    inside = os.path.join(bench.ROOT, "src", "repro", "_native.so")
+    monkeypatch.setattr(bench, "kernel_path", lambda: inside)
+    assert bench.environment()["kernel"]["path"] == os.path.join(
+        "src", "repro", "_native.so")
+    monkeypatch.setattr(bench, "kernel_path", lambda: "/x/_native.so")
+    assert bench.environment()["kernel"]["path"] == "/x/_native.so"
+    report = {"suite": "kernels", "mode": "quick", "env": dict(
+        bench.environment(), dirty=True), "series": {}, "rows": [],
+        "summary": {}, "gates": []}
+    report["env"]["kernel"]["available"] = True
+    text = bench.render_report(report)
+    assert "/x/_native.so" in text and "uncommitted changes" in text
 
 
 def test_kernels_records_a_missing_kernel_as_fallback(tiny_series, monkeypatch):
